@@ -1,25 +1,13 @@
-// Fleet mode: mcbench -fleet benchmarks online re-synthesis — the paper's
-// Section 6 story (worn batteries invalidated the deployed schedule and
-// the control program had to be re-synthesized against remeasured
-// constants) scaled to a fleet of plants drifting concurrently.
+// Fleet mode: mcbench -fleet -serve-url URL drives online re-synthesis
+// against a running mcserved — the paper's Section 6 story (worn batteries
+// invalidated the deployed schedule and the control program had to be
+// re-synthesized against remeasured constants) scaled to a fleet of plants
+// drifting concurrently.
 //
-// The benchmark has two legs, both landing in BENCH_fleet.json:
-//
-//   - An in-process warm-vs-cold comparison: a base plant is synthesized
-//     once with a kept final checkpoint (mc.CheckpointOptions.KeepFinal),
-//     then each disturbance — wear (every movement one unit slower, the
-//     drift internal/sim's Config.Params models), a deadline shift, a
-//     degraded treatment unit — is re-synthesized twice: cold, and
-//     warm-started from the base snapshot (mc.Options.WarmStart). The
-//     tracked numbers are explored-state and wall-clock speedups, and
-//     every warm-started schedule is cross-checked against the unguided
-//     replay contract (plant.MapTrace + fuzz.CheckTrace).
-//
-//   - With -serve-url, an HTTP leg: N simulated plants across two tenants
-//     stream disturbance rounds (PlantRequest.Params overlays, marked
-//     resynthesis: true) into a running mcserved, recording re-synthesis
-//     latency percentiles, warm-start hits (warm_started_from), and
-//     per-tenant admission stats under the weighted-fair queue.
+// N simulated plants across two tenants stream disturbance rounds
+// (PlantRequest.Params overlays, marked resynthesis: true) into the
+// server. BENCH_fleet.json records re-synthesis latency percentiles and
+// per-tenant admission stats under the weighted-fair queue.
 package main
 
 import (
@@ -29,7 +17,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -37,14 +24,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"guidedta/internal/fuzz"
-	"guidedta/internal/mc"
 	"guidedta/internal/plant"
 )
 
 // fleetConfig is the -fleet flag block.
 type fleetConfig struct {
-	serveURL string // empty skips the HTTP leg
+	serveURL string
 	plants   int
 	rounds   int
 	batches  int
@@ -56,87 +41,49 @@ type fleetBench struct {
 	Generated string           `json:"generated"`
 	GoVersion string           `json:"go_version"`
 	Batches   int              `json:"batches"`
-	Warm      []warmCase       `json:"warm_vs_cold"`
-	Fleet     *fleetServeBench `json:"fleet,omitempty"`
+	Fleet     *fleetServeBench `json:"fleet"`
 }
 
-// warmCase is one disturbance's cold/warm pair.
-type warmCase struct {
-	Name string `json:"name"`
-	// Cold and Warm are explored-state counts; the speedups divide cold
-	// by warm (explored and seconds respectively).
-	ColdExplored  int     `json:"cold_explored"`
-	WarmExplored  int     `json:"warm_explored"`
-	ColdSeconds   float64 `json:"cold_seconds"`
-	WarmSeconds   float64 `json:"warm_seconds"`
-	SpeedupStates float64 `json:"speedup_states"`
-	SpeedupTime   float64 `json:"speedup_time"`
-	// WarmSeeded/WarmDropped are the engine's seeding counters: states
-	// adopted from the base snapshot vs. dropped by re-validation.
-	WarmSeeded  int  `json:"warm_seeded"`
-	WarmDropped int  `json:"warm_dropped"`
-	Found       bool `json:"found"`
-	// Replayed confirms the warm-started schedule passed the unguided
-	// replay contract (plant.MapTrace + fuzz.CheckTrace) — the soundness
-	// gate every synthesized schedule must clear.
-	Replayed bool `json:"replayed"`
-	// ColdFallback marks a disturbance too large for the seed: the warm
-	// attempt ended in mc.ErrWarmStart or a verdict disagreement, and the
-	// case was re-derived cold (the same fallback mcserved performs).
-	// Warm numbers then include the wasted warm attempt, so the speedups
-	// honestly drop below 1 — the cost of a mispredicted warm start.
-	ColdFallback bool `json:"cold_fallback,omitempty"`
+// fleetDisturbances are the modeled drifts of a plant's real timings away
+// from the constants the deployed schedule was synthesized against, in
+// the order a plant suffers them.
+var fleetDisturbances = []func(plant.Params) plant.Params{
+	func(p plant.Params) plant.Params {
+		// Wear, the Section 6 battery story: every movement one unit
+		// slower (mirrors internal/fuzz's worn-plant case).
+		p.BMove++
+		p.CMove++
+		p.CUp++
+		p.CDown++
+		return p
+	},
+	func(p plant.Params) plant.Params {
+		// A tighter temperature bound: ten units less from pour to cast.
+		p.Deadline -= 10
+		return p
+	},
+	func(p plant.Params) plant.Params {
+		// A degraded type-B treatment unit runs half again as long.
+		p.TreatB += 3
+		return p
+	},
 }
 
-// fleetDisturbance is one modeled drift of the plant's real timings away
-// from the constants the deployed schedule was synthesized against.
-type fleetDisturbance struct {
-	name  string
-	drift func(plant.Params) plant.Params
-}
-
-func fleetDisturbances() []fleetDisturbance {
-	return []fleetDisturbance{
-		{"wear", func(p plant.Params) plant.Params {
-			// The Section 6 battery wear: every movement one unit slower
-			// (mirrors internal/fuzz's worn-plant case).
-			p.BMove++
-			p.CMove++
-			p.CUp++
-			p.CDown++
-			return p
-		}},
-		{"deadline-shift", func(p plant.Params) plant.Params {
-			// A tighter temperature bound: ten units less from pour to cast.
-			p.Deadline -= 10
-			return p
-		}},
-		{"unit-degraded", func(p plant.Params) plant.Params {
-			// A degraded type-B treatment unit runs half again as long.
-			p.TreatB += 3
-			return p
-		}},
-	}
-}
-
-// runFleet drives both legs and writes BENCH_fleet.json.
+// runFleet drives the fleet against cfg.serveURL and writes
+// BENCH_fleet.json.
 func runFleet(cfg fleetConfig) error {
+	if cfg.serveURL == "" {
+		return errors.New("-fleet needs -serve-url: it drives a running mcserved")
+	}
+	fs, err := runFleetServe(cfg)
+	if err != nil {
+		return err
+	}
 	bf := fleetBench{
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		Batches:   cfg.batches,
-	}
-	warm, err := runFleetWarm(cfg.batches)
-	if err != nil {
-		return err
-	}
-	bf.Warm = warm
-	if cfg.serveURL != "" {
-		fs, err := runFleetServe(cfg)
-		if err != nil {
-			return err
-		}
-		bf.Fleet = fs
+		Fleet:     fs,
 	}
 	data, err := json.MarshalIndent(bf, "", "  ")
 	if err != nil {
@@ -145,166 +92,24 @@ func runFleet(cfg fleetConfig) error {
 	if err := os.WriteFile(cfg.out, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "mcbench: wrote %s (%d warm cases)\n", cfg.out, len(bf.Warm))
+	fmt.Fprintf(os.Stderr, "mcbench: wrote %s\n", cfg.out)
 	return nil
 }
 
-// buildFleetPlant builds the guided scheduling instance for one parameter
-// set (plant.Build validates and applies defaults).
-func buildFleetPlant(batches int, params plant.Params, g plant.GuideLevel) (*plant.Plant, plant.Config, error) {
-	cfg := plant.Config{
-		Qualities: plant.CycleQualities(batches),
-		Guides:    g,
-		Params:    params,
-	}
-	p, err := plant.Build(cfg)
-	return p, cfg, err
-}
-
-func fleetOptions(p *plant.Plant) mc.Options {
-	opts := mc.DefaultOptions(mc.DFS)
-	opts.Observer = &mc.FuncObserver{Priority: p.Priority}
-	return opts
-}
-
-// runFleetWarm is the in-process leg: base synthesis with a kept final
-// checkpoint, then each disturbance cold vs. warm-started.
-func runFleetWarm(batches int) ([]warmCase, error) {
-	dir, err := os.MkdirTemp("", "mcbench-fleet-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	ckpt := filepath.Join(dir, "base.ckpt")
-
-	base, _, err := buildFleetPlant(batches, plant.DefaultParams(), plant.AllGuides)
-	if err != nil {
-		return nil, err
-	}
-	opts := fleetOptions(base)
-	opts.Checkpoint = mc.CheckpointOptions{Path: ckpt, KeepFinal: true}
-	res, err := mc.Explore(base.Sys, base.Goal, opts)
-	if err != nil {
-		return nil, fmt.Errorf("base synthesis: %w", err)
-	}
-	if !res.Found {
-		return nil, fmt.Errorf("base synthesis found no schedule")
-	}
-	fmt.Fprintf(os.Stderr, "mcbench: fleet base (%d batches): %d states, schedule of %d steps\n",
-		batches, res.Stats.StatesExplored, len(res.Trace))
-
-	var cases []warmCase
-	for _, d := range fleetDisturbances() {
-		params := d.drift(plant.DefaultParams())
-		p, cfg, err := buildFleetPlant(batches, params, plant.AllGuides)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", d.name, err)
-		}
-
-		coldStart := time.Now()
-		cold, err := mc.Explore(p.Sys, p.Goal, fleetOptions(p))
-		coldSec := time.Since(coldStart).Seconds()
-		if err != nil {
-			return nil, fmt.Errorf("%s cold: %w", d.name, err)
-		}
-
-		wopts := fleetOptions(p)
-		wopts.WarmStart = mc.WarmStartOptions{Path: ckpt}
-		warmStart := time.Now()
-		warm, err := mc.Explore(p.Sys, p.Goal, wopts)
-		warmSec := time.Since(warmStart).Seconds()
-		fallback := false
-		switch {
-		case errors.Is(err, mc.ErrWarmStart):
-			// The disturbance outgrew the seed: the only witness ran
-			// through an invalid seeded prefix. Re-derive cold, exactly as
-			// mcserved does, and charge the warm side the full detour.
-			fallback = true
-		case err != nil:
-			return nil, fmt.Errorf("%s warm: %w", d.name, err)
-		case !warm.WarmStarted:
-			return nil, fmt.Errorf("%s warm: engine did not warm-start (seed unusable?)", d.name)
-		case warm.Found != cold.Found:
-			// Advisory negative (or a spurious positive the taint check
-			// already converts to ErrWarmStart): only a cold run may stand.
-			fallback = true
-		}
-		if fallback {
-			warm, err = mc.Explore(p.Sys, p.Goal, fleetOptions(p))
-			warmSec = time.Since(warmStart).Seconds()
-			if err != nil {
-				return nil, fmt.Errorf("%s cold fallback: %w", d.name, err)
-			}
-		}
-
-		c := warmCase{
-			Name:         d.name,
-			ColdExplored: cold.Stats.StatesExplored,
-			WarmExplored: warm.Stats.StatesExplored,
-			ColdSeconds:  coldSec,
-			WarmSeconds:  warmSec,
-			WarmSeeded:   warm.Stats.WarmSeeded,
-			WarmDropped:  warm.Stats.WarmDropped,
-			Found:        warm.Found,
-			ColdFallback: fallback,
-		}
-		c.SpeedupStates = float64(c.ColdExplored) / float64(max(1, c.WarmExplored))
-		c.SpeedupTime = coldSec / maxFloat(1e-9, warmSec)
-		if warm.Found {
-			rep, err := fleetReplay(cfg, p, warm.Trace)
-			if err != nil {
-				return nil, fmt.Errorf("%s: warm schedule failed replay contract: %w", d.name, err)
-			}
-			c.Replayed = rep
-		}
-		cases = append(cases, c)
-		fmt.Fprintf(os.Stderr, "  %-15s cold %6d states %.3fs | warm %6d states %.3fs (seeded %d, dropped %d) — %.1fx states\n",
-			d.name, c.ColdExplored, c.ColdSeconds, c.WarmExplored, c.WarmSeconds, c.WarmSeeded, c.WarmDropped, c.SpeedupStates)
-	}
-	return cases, nil
-}
-
-// fleetReplay checks the unguided replay contract: the guided witness,
-// mapped onto the unguided build of the same disturbed instance, must
-// replay to the goal — exactly the soundness gate internal/guide applies
-// to discovered schedules.
-func fleetReplay(cfg plant.Config, guided *plant.Plant, trace []mc.Transition) (bool, error) {
-	ucfg := cfg
-	ucfg.Guides, ucfg.GuideSet = plant.NoGuides, nil
-	unguided, err := plant.Build(ucfg)
-	if err != nil {
-		return false, err
-	}
-	mapped, err := plant.MapTrace(guided.Sys, unguided.Sys, trace)
-	if err != nil {
-		return false, err
-	}
-	if err := fuzz.CheckTrace(unguided.Sys, unguided.Goal, mapped); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// fleetServeBench is the HTTP leg's section of BENCH_fleet.json.
+// fleetServeBench is the fleet section of BENCH_fleet.json.
 type fleetServeBench struct {
-	ServeURL string `json:"serve_url"`
-	Plants   int    `json:"plants"`
-	Rounds   int    `json:"rounds"`
-	Requests int    `json:"requests"`
-	// WarmHits counts settled jobs whose search was seeded from a kept
-	// checkpoint (warm_started_from in the job record).
-	WarmHits  int64     `json:"warm_hits"`
+	ServeURL  string    `json:"serve_url"`
+	Plants    int       `json:"plants"`
+	Rounds    int       `json:"rounds"`
+	Requests  int       `json:"requests"`
 	CacheHits int64     `json:"cache_hits"`
 	Errors    int64     `json:"errors"`
 	Throttled int64     `json:"throttled_429"`
 	LatencyMS latencyMS `json:"latency_ms"`
 	// ResynthMS is the latency distribution of re-synthesis rounds only
-	// (round >= 1: the requests a live fleet actually waits on), split by
-	// whether the server warm-started them.
-	ResynthMS     latencyMS               `json:"resynth_ms"`
-	ResynthWarmMS latencyMS               `json:"resynth_warm_ms"`
-	ResynthColdMS latencyMS               `json:"resynth_cold_ms"`
-	Tenants       map[string]*fleetTenant `json:"tenants"`
+	// (round >= 1: the requests a live fleet actually waits on).
+	ResynthMS latencyMS               `json:"resynth_ms"`
+	Tenants   map[string]*fleetTenant `json:"tenants"`
 }
 
 // fleetTenant is one tenant's client-observed admission record.
@@ -321,9 +126,8 @@ type fleetTenant struct {
 func fleetPlantParams(i, r int) plant.Params {
 	p := plant.DefaultParams()
 	p.Deadline += int32(i % 3) // distinct base models across the fleet
-	ds := fleetDisturbances()
 	for round := 1; round <= r; round++ {
-		p = ds[(round-1)%len(ds)].drift(p)
+		p = fleetDisturbances[(round-1)%len(fleetDisturbances)](p)
 	}
 	return p
 }
@@ -352,14 +156,12 @@ func runFleetServe(cfg fleetConfig) (*fleetServeBench, error) {
 		Tenants:  map[string]*fleetTenant{"acme": {}, "beta": {}},
 	}
 	type sample struct {
-		ms     float64
-		round  int
-		warmed bool
+		ms    float64
+		round int
 	}
 	var (
 		mu        sync.Mutex
 		samples   []sample
-		warmHits  atomic.Int64
 		cacheHits atomic.Int64
 		errs      atomic.Int64
 	)
@@ -390,7 +192,7 @@ func runFleetServe(cfg fleetConfig) (*fleetServeBench, error) {
 					"resynthesis": r > 0,
 				})
 				t0 := time.Now()
-				res, err := fleetPost(client, base, tenant, string(body), throttledBy[tenant])
+				cache, err := fleetPost(client, base, tenant, string(body), throttledBy[tenant])
 				lat := time.Since(t0).Seconds() * 1000
 				mu.Lock()
 				fs.Tenants[tenant].Requests++
@@ -399,11 +201,8 @@ func runFleetServe(cfg fleetConfig) (*fleetServeBench, error) {
 					fmt.Fprintf(os.Stderr, "mcbench: fleet plant %d round %d: %v\n", i, r, err)
 				} else {
 					fs.Tenants[tenant].Completed++
-					samples = append(samples, sample{ms: lat, round: r, warmed: res.warmFrom != ""})
-					if res.warmFrom != "" {
-						warmHits.Add(1)
-					}
-					if res.cache == "hit" {
+					samples = append(samples, sample{ms: lat, round: r})
+					if cache == "hit" {
 						cacheHits.Add(1)
 					}
 				}
@@ -414,7 +213,6 @@ func runFleetServe(cfg fleetConfig) (*fleetServeBench, error) {
 	wg.Wait()
 
 	fs.Requests = cfg.plants * (cfg.rounds + 1)
-	fs.WarmHits = warmHits.Load()
 	fs.CacheHits = cacheHits.Load()
 	fs.Errors = errs.Load()
 	for name, t := range fs.Tenants {
@@ -439,36 +237,29 @@ func runFleetServe(cfg fleetConfig) (*fleetServeBench, error) {
 	}
 	fs.LatencyMS = pick(func(sample) bool { return true })
 	fs.ResynthMS = pick(func(s sample) bool { return s.round > 0 })
-	fs.ResynthWarmMS = pick(func(s sample) bool { return s.round > 0 && s.warmed })
-	fs.ResynthColdMS = pick(func(s sample) bool { return s.round > 0 && !s.warmed })
 	fmt.Fprintf(os.Stderr,
-		"mcbench: fleet %d plants x %d rounds: resynth p50 %.1fms p99 %.1fms, %d warm hit(s), %d throttled, %d error(s)\n",
-		cfg.plants, cfg.rounds, fs.ResynthMS.P50, fs.ResynthMS.P99, fs.WarmHits, fs.Throttled, fs.Errors)
+		"mcbench: fleet %d plants x %d rounds: resynth p50 %.1fms p99 %.1fms, %d throttled, %d error(s)\n",
+		cfg.plants, cfg.rounds, fs.ResynthMS.P50, fs.ResynthMS.P99, fs.Throttled, fs.Errors)
 	if fs.Errors > 0 {
 		return fs, fmt.Errorf("%d fleet request(s) failed", fs.Errors)
 	}
 	return fs, nil
 }
 
-// fleetResponse is the slice of the job record the fleet leg reads.
-type fleetResponse struct {
-	cache    string
-	warmFrom string
-}
-
-// fleetPost submits one fleet job under its tenant and waits for the
-// settled record, backing off on the tenant's own 429s.
-func fleetPost(client *http.Client, base, tenant, body string, throttled *atomic.Int64) (fleetResponse, error) {
+// fleetPost submits one fleet job under its tenant, waits for the settled
+// record, and returns its cache state, backing off on the tenant's own
+// 429s.
+func fleetPost(client *http.Client, base, tenant, body string, throttled *atomic.Int64) (string, error) {
 	for attempt := 0; ; attempt++ {
 		req, err := http.NewRequest(http.MethodPost, base+"/v1/jobs?wait=1", strings.NewReader(body))
 		if err != nil {
-			return fleetResponse{}, err
+			return "", err
 		}
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set("X-Tenant", tenant)
 		resp, err := client.Do(req)
 		if err != nil {
-			return fleetResponse{}, err
+			return "", err
 		}
 		data, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
@@ -484,26 +275,18 @@ func fleetPost(client *http.Client, base, tenant, body string, throttled *atomic
 			continue
 		}
 		if resp.StatusCode != http.StatusOK {
-			return fleetResponse{}, fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
+			return "", fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
 		}
 		var jj struct {
-			State    string `json:"state"`
-			Cache    string `json:"cache"`
-			WarmFrom string `json:"warm_started_from"`
+			State string `json:"state"`
+			Cache string `json:"cache"`
 		}
 		if err := json.Unmarshal(data, &jj); err != nil {
-			return fleetResponse{}, fmt.Errorf("bad job response: %w", err)
+			return "", fmt.Errorf("bad job response: %w", err)
 		}
 		if jj.State != "done" {
-			return fleetResponse{}, fmt.Errorf("job settled as %q", jj.State)
+			return "", fmt.Errorf("job settled as %q", jj.State)
 		}
-		return fleetResponse{cache: jj.Cache, warmFrom: jj.WarmFrom}, nil
+		return jj.Cache, nil
 	}
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -20,6 +20,11 @@
 // latency plus cache hit rate are written to BENCH_serve.json:
 //
 //	mcbench -serve-url http://localhost:8080 -clients 8 -requests 200
+//
+// With -fleet as well it drives fleet re-synthesis against that server
+// (see fleet.go) and writes BENCH_fleet.json:
+//
+//	mcbench -fleet -serve-url http://localhost:8080 -fleet-plants 6
 package main
 
 import (
@@ -125,7 +130,7 @@ func main() {
 		memProfile   = flag.String("memprofile", "", "write a heap profile (after the suite) to this file")
 		minTimeRatio = flag.Float64("min-time-ratio", 0, "fail (exit 1) if any case's compact time_ratio falls below this floor — the CI regression guard")
 
-		fleet        = flag.Bool("fleet", false, "fleet re-synthesis mode: warm-vs-cold benchmark (plus an HTTP leg when -serve-url is set), writes -fleet-out")
+		fleet        = flag.Bool("fleet", false, "fleet re-synthesis mode: stream tenant plants' disturbance rounds into the mcserved at -serve-url (required), writes -fleet-out")
 		fleetPlants  = flag.Int("fleet-plants", 6, "fleet mode: simulated plants streaming disturbances")
 		fleetRounds  = flag.Int("fleet-rounds", 2, "fleet mode: disturbance/re-synthesis rounds per plant")
 		fleetBatches = flag.Int("fleet-batches", 2, "fleet mode: batches per plant instance")

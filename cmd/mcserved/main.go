@@ -20,8 +20,7 @@
 //
 // GET /v1/jobs/{id}/events streams live progress as server-sent events;
 // /v1/status and the mcserve expvar (on /debug/vars with -pprof) expose
-// queue depth, cache hit rate, and per-worker state. The pre-/v1
-// unversioned routes remain as deprecated aliases. SIGINT/SIGTERM
+// queue depth, cache hit rate, and per-worker state. SIGINT/SIGTERM
 // triggers a graceful drain: admission stops, in-flight jobs finish
 // (or are canceled after -drain-timeout), final reports are flushed,
 // and the process exits 0.
@@ -57,12 +56,11 @@ func main() {
 		quiet        = flag.Bool("quiet", false, "suppress per-job log lines")
 		ckptDir      = flag.String("checkpoint-dir", "", "make running jobs durable: write resumable search checkpoints (keyed by cache key) here on drain/timeout aborts, and resume them on resubmission — also after a restart")
 		ckptEvery    = flag.Duration("checkpoint-every", 0, "additionally checkpoint running jobs at this cadence (0 = abort-time only; requires -checkpoint-dir)")
-		warmStart    = flag.Bool("warm-start", false, "keep completed searches' final checkpoints and seed re-synthesis of nearby models from them (requires -checkpoint-dir)")
 		tenantQuota  = flag.Int("tenant-quota", 0, "per-tenant queued-job quota (0 = the -queue depth); tenancy from the X-Tenant header")
 		tenantWeight = flag.String("tenant-weights", "", "weighted-fair shares as tenant=weight,... (absent tenants weigh 1)")
 		ckptGCAge    = flag.Duration("checkpoint-gc-age", 24*time.Hour, "delete checkpoint files older than this")
 		ckptGCMax    = flag.Int("checkpoint-gc-max", 1024, "keep at most this many checkpoint files")
-		ckptGCEvery  = flag.Duration("checkpoint-gc-every", 5*time.Minute, "period of the background checkpoint GC sweep (GC also runs at startup, drain, and on count overflow)")
+		ckptGCEvery  = flag.Duration("checkpoint-gc-every", 5*time.Minute, "period of the background checkpoint GC sweep (GC also runs at startup and drain)")
 	)
 	flag.Parse()
 
@@ -76,10 +74,6 @@ func main() {
 			logger.Printf("checkpoint dir: %v", err)
 			os.Exit(1)
 		}
-	}
-	if *warmStart && *ckptDir == "" {
-		logger.Printf("-warm-start requires -checkpoint-dir")
-		os.Exit(1)
 	}
 	weights, err := parseTenantWeights(*tenantWeight)
 	if err != nil {
@@ -96,7 +90,6 @@ func main() {
 		CacheSize:         *cacheSize,
 		CheckpointDir:     *ckptDir,
 		CheckpointEvery:   *ckptEvery,
-		WarmStart:         *warmStart,
 		CheckpointGCAge:   *ckptGCAge,
 		CheckpointGCMax:   *ckptGCMax,
 		CheckpointGCEvery: *ckptGCEvery,

@@ -42,19 +42,6 @@ type CheckpointOptions struct {
 	// knows the model's source form. Empty disables the check. It is not
 	// part of the canonical options JSON.
 	ModelSHA string
-	// KeepFinal writes (and keeps) a final snapshot when the search
-	// completes with an answer, instead of removing the file. The artifact
-	// is a warm-start seed for nearly-identical later queries
-	// (Options.WarmStart), not a resume point: it is stamped Final and the
-	// resume path refuses it — a completed search's frontier would resume to
-	// a wrong verdict (the found state's zone already subsumes frontier
-	// descendants that re-reach it, so the goal check could never fire).
-	KeepFinal bool
-	// Meta is an opaque advisory label stamped into the checkpoint header
-	// (snapshot.Header.Meta). The serving layer records the cache-key kind
-	// here so checkpoint files can be grouped into warm-start families by
-	// header alone. Never interpreted by the engine.
-	Meta string
 }
 
 func (c CheckpointOptions) enabled() bool { return c.Path != "" }
@@ -81,10 +68,6 @@ type checkpointer struct {
 	writeTime   time.Duration
 	resumeTime  time.Duration
 	baseElapsed time.Duration // search time accumulated before the resume
-
-	// final marks the next write as a KeepFinal end-of-search snapshot; the
-	// search loops set it right before their completion-time save.
-	final bool
 }
 
 // newCheckpointer returns nil when checkpointing is disabled. opts must
@@ -137,8 +120,6 @@ func (ck *checkpointer) write(cp *snapshot.Checkpoint) error {
 	t0 := time.Now()
 	cp.ModelSHA = ck.opts.Checkpoint.ModelSHA
 	cp.Options = ck.canon
-	cp.Meta = ck.opts.Checkpoint.Meta
-	cp.Final = ck.final
 	err := snapshot.Write(ck.opts.Checkpoint.Path, cp)
 	ck.writeTime += time.Since(t0)
 	if err != nil {
@@ -181,7 +162,12 @@ func (ck *checkpointer) load() (*snapshot.Checkpoint, error) {
 		return nil, fmt.Errorf("%w: checkpoint options %s differ from this run's %s", ErrResume, cp.Options, ck.canon)
 	}
 	if cp.Final {
-		return nil, fmt.Errorf("%w: checkpoint is a completed search's final snapshot (KeepFinal) — a warm-start seed, not a resume point", ErrResume)
+		// No writer stamps Final any more, but servers that kept completed
+		// searches' snapshots as warm-start seeds may have left such files
+		// behind. A completed search's frontier resumes to a wrong verdict
+		// (the found state's zone already subsumes frontier descendants that
+		// re-reach it, so the goal check could never fire): refuse it.
+		return nil, fmt.Errorf("%w: checkpoint is a completed search's final snapshot, not a resume point", ErrResume)
 	}
 	return cp, nil
 }

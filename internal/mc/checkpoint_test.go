@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"guidedta/internal/mc"
+	"guidedta/internal/snapshot"
 	"guidedta/internal/ta"
 )
 
@@ -260,6 +261,23 @@ func TestCheckpointResumeRejections(t *testing.T) {
 		sys, goal := fischerModel(t, 4, false)
 		if _, err := mc.Explore(sys, goal, opts); !errors.Is(err, mc.ErrResume) {
 			t.Fatalf("got %v, want ErrResume", err)
+		}
+	})
+	t.Run("final-refuses-exact-resume", func(t *testing.T) {
+		// Older servers stamped completed searches' snapshots Final and kept
+		// them; resuming such a file could report a false "not found".
+		path, opts := interruptedCheckpoint(t, "")
+		cp, err := snapshot.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp.Final = true
+		if err := snapshot.Write(path, cp); err != nil {
+			t.Fatal(err)
+		}
+		sys, goal := fischerModel(t, 4, false)
+		if _, err := mc.Explore(sys, goal, opts); !errors.Is(err, mc.ErrResume) {
+			t.Fatalf("resuming a Final checkpoint: got %v, want ErrResume", err)
 		}
 	})
 	t.Run("resume-disabled-ignores-file", func(t *testing.T) {

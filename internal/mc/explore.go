@@ -20,9 +20,10 @@ func Explore(sys *ta.System, goal Goal, opts Options) (Result, error) {
 // ExploreContext is the engine's entry point: it runs symbolic
 // reachability analysis of goal on sys under ctx. The system is frozen if
 // it is not already. With Options.Workers > 1 and a BFS or DFS order, the
-// search runs in parallel (see exploreParallel); the answer and abort
-// semantics are identical to the sequential search, though which witness
-// trace is found may differ.
+// search always runs in parallel (see exploreParallel); the answer and
+// abort semantics are identical to the sequential search, though which
+// witness trace is found may differ. BestTime and BSH always run the
+// sequential loop (normalize canonicalizes their Workers to 1).
 //
 // Canceling ctx stops the search promptly (it is checked between state
 // expansions, sequential and parallel) and returns a Result with
@@ -66,12 +67,7 @@ func ExploreContext(ctx context.Context, sys *ta.System, goal Goal, opts Options
 	}
 	// normalize has already rejected unknown orders and a BestTime search
 	// without its time clock, so only the sequential/parallel split remains.
-	// Warm-started searches always run sequentially: seeding and replay
-	// validation live in the sequential loop, and quietly serializing here —
-	// rather than canonicalizing Workers in normalize — keeps the canonical
-	// options JSON (and with it checkpoint/cache identity) independent of
-	// the process-local WarmStart field.
-	if opts.Workers > 1 && !opts.WarmStart.enabled() && (opts.Search == BFS || opts.Search == DFS) {
+	if opts.Workers > 1 && (opts.Search == BFS || opts.Search == DFS) {
 		res, err = exploreParallel(en, goal)
 	} else {
 		res, err = exploreSeq(en, goal)
@@ -178,49 +174,14 @@ func exploreSeq(en *engine, goal Goal) (Result, error) {
 		defer ck.stopTicker()
 	}
 	var found *node
-	var warm *warmState
-	if !resumed && en.opts.WarmStart.enabled() {
-		// Warm start: seed the store from another model's checkpoint (every
-		// state re-validated — see WarmStartOptions), push the seed's
-		// surviving frontier, and try the seeded goal states as instant
-		// witnesses via full replay on this model.
-		if warm = warmSeed(ctx, store, goal); warm != nil {
-			res.WarmStarted = true
-			st.WarmSeeded = len(warm.seeded)
-			st.WarmDropped = warm.dropped
-			for _, n := range warm.frontier {
-				front.push(n)
-				waitingBytes += waitingCost(n)
-				if n.czone != nil {
-					ctx.releaseNode(n)
-				}
-			}
-			for i, g := range warm.goals {
-				if i >= warmReplayCap {
-					break
-				}
-				if rep := ctx.replayTrace(traceOf(g), goal); rep != nil {
-					found = rep
-					break
-				}
-			}
-		}
-	}
 	if !resumed {
-		if store.add(ctx.stateKey(init), init) {
-			front.push(init)
-			waitingBytes += waitingCost(init)
-			if init.czone != nil {
-				// The compact store holds the exact zone; waiting nodes travel
-				// without their O(n²) matrix.
-				ctx.releaseNode(init)
-			}
-		} else {
-			// Only possible under a warm start: a seeded state already
-			// subsumes the initial state, so its (old-model) expansion
-			// stands in for init's — the pruning the warm start exists for,
-			// and the reason warm negatives are advisory.
-			ctx.recycleNode(init)
+		store.add(ctx.stateKey(init), init) // the store is empty: always kept
+		front.push(init)
+		waitingBytes += waitingCost(init)
+		if init.czone != nil {
+			// The compact store holds the exact zone; waiting nodes travel
+			// without their O(n²) matrix.
+			ctx.releaseNode(init)
 		}
 	}
 
@@ -369,34 +330,13 @@ func exploreSeq(en *engine, goal Goal) (Result, error) {
 		st.MemBytes = peakMem
 	}
 	st.Duration = time.Since(start)
-	if found != nil && warm != nil && !warm.isFresh(found) {
-		// The witness runs through a seeded (foreign-model) prefix: its
-		// ancestors' zones were inherited, not derived on this model, so the
-		// trace must be re-derived by replay before it can be reported. A
-		// replay failure means the seed lied about reachability — surface it
-		// as ErrWarmStart so callers can rerun cold.
-		rep := ctx.replayTrace(traceOf(found), goal)
-		if rep == nil {
-			return res, fmt.Errorf("%w (seeded prefix of length %d)", ErrWarmStart, found.depth)
-		}
-		found = rep
-	}
 	if found != nil {
 		res.Found = true
 		res.Trace = traceOf(found)
 	}
 	if ck != nil {
-		if res.Abort == AbortNone && en.opts.Checkpoint.KeepFinal {
-			// Stamp the snapshot as Final and persist it: useless for resume
-			// (load refuses Final files) but exactly what a later warm start
-			// of a nearby model wants to seed from.
-			ck.final = true
-			if err := ck.saveSeq(store, front, st, peakMem, time.Since(start)); err != nil {
-				return res, err
-			}
-		}
 		ck.stamp(st)
-		if res.Abort == AbortNone && !en.opts.Checkpoint.KeepFinal {
+		if res.Abort == AbortNone {
 			// The search has its answer; a stale checkpoint must not seed a
 			// later run.
 			ck.finish()

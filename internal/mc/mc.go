@@ -144,13 +144,6 @@ type Options struct {
 	// checkpointing. Like Observer/Profile/SnapshotEvery it is a
 	// process-local concern and excluded from the canonical options JSON.
 	Checkpoint CheckpointOptions
-	// WarmStart seeds the search from a prior run's checkpoint for a
-	// *different* (nearly identical) model: every seeded state is
-	// re-validated against the current model and any witness whose path
-	// crosses seeded states is replayed transition by transition before it
-	// is reported (see WarmStartOptions). Like Checkpoint it is a
-	// process-local concern and excluded from the canonical options JSON.
-	WarmStart WarmStartOptions
 }
 
 // DefaultOptions returns the options matching UPPAAL's defaults in the
@@ -231,12 +224,6 @@ type Stats struct {
 	CheckpointWrites int
 	CheckpointTime   time.Duration
 	ResumeTime       time.Duration
-	// WarmSeeded counts prior-run states accepted into this search's passed
-	// store by a warm start; WarmDropped counts the states the re-validation
-	// rejected (structural mismatch against the new model, or a zone emptied
-	// by the new invariants). Options.WarmStart only; zero otherwise.
-	WarmSeeded  int
-	WarmDropped int
 }
 
 // BytesPerStoredState is StoreBytes averaged over the stored states — the
@@ -268,13 +255,6 @@ type Result struct {
 	// than started from the initial state. Stats are cumulative across the
 	// resumed segments.
 	Resumed bool
-	// WarmStarted reports that the search was seeded from another model's
-	// checkpoint (Options.WarmStart with a loadable snapshot). A positive
-	// verdict is replay-validated and as trustworthy as a cold one; a
-	// negative verdict is advisory — seeded states can subsume states the
-	// new model would otherwise have explored — and callers that must trust
-	// "not found" should rerun cold.
-	WarmStarted bool
 }
 
 // Transition identifies one fired transition of the network: either an

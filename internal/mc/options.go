@@ -49,9 +49,6 @@ func (o Options) normalize() (Options, error) {
 	if o.Checkpoint.Path != "" && o.Search == BSH {
 		return o, fmt.Errorf("mc: checkpointing is not supported for the BSH order (the bit table stores only hashes)")
 	}
-	if o.WarmStart.Path != "" && o.Search == BSH {
-		return o, fmt.Errorf("mc: warm start is not supported for the BSH order (the bit table stores only hashes)")
-	}
 	// Canonical worker count: 0 and 1 both mean sequential, and the BSH
 	// and BestTime orders are inherently sequential regardless of Workers
 	// (the bit table and the global best-first order serialize them).

@@ -56,25 +56,19 @@ func TestOptionsUnmarshalOverlays(t *testing.T) {
 	}
 }
 
-func TestOptionsUnmarshalLegacyAliases(t *testing.T) {
-	opts := DefaultOptions(DFS)
-	err := json.Unmarshal([]byte(`{"no_inclusion": true, "no_active_clocks": true, "max_memory_mb": 2}`), &opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.Inclusion || opts.ActiveClocks {
-		t.Errorf("legacy negated aliases not applied: %+v", opts)
-	}
-	if opts.MaxMemory != 2<<20 {
-		t.Errorf("max_memory_mb: MaxMemory = %d, want %d", opts.MaxMemory, 2<<20)
-	}
-	// Canonical field wins over its alias in one document.
-	opts = DefaultOptions(DFS)
-	if err := json.Unmarshal([]byte(`{"no_inclusion": true, "inclusion": true}`), &opts); err != nil {
-		t.Fatal(err)
-	}
-	if !opts.Inclusion {
-		t.Error("canonical inclusion field lost to its legacy alias")
+// TestOptionsUnmarshalRejectsRetiredKeys: the pre-/v1 aliases are gone
+// and, like any unknown key, fail the decode rather than being dropped.
+func TestOptionsUnmarshalRejectsRetiredKeys(t *testing.T) {
+	for _, body := range []string{
+		`{"no_inclusion": true}`,
+		`{"no_active_clocks": true}`,
+		`{"max_memory_mb": 2}`,
+		`{"inclusion": true, "max_memory_mb": 2}`,
+	} {
+		opts := DefaultOptions(DFS)
+		if err := json.Unmarshal([]byte(body), &opts); err == nil {
+			t.Errorf("%s: accepted, want an unknown-field error", body)
+		}
 	}
 }
 

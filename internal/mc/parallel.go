@@ -190,16 +190,9 @@ func exploreParallel(en *engine, goal Goal) (Result, error) {
 			if err := ps.saveParallel(ck); err != nil {
 				return res, err
 			}
-		} else if en.opts.Checkpoint.KeepFinal {
-			// Completed search: persist a Final-stamped snapshot as a
-			// warm-start seed for nearby models (load refuses it for resume).
-			ck.final = true
-			if err := ps.saveParallel(ck); err != nil {
-				return res, err
-			}
 		}
 		ck.stamp(st)
-		if res.Abort == AbortNone && !en.opts.Checkpoint.KeepFinal {
+		if res.Abort == AbortNone {
 			ck.finish()
 		}
 	}

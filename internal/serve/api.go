@@ -123,7 +123,6 @@ func jobJSON(j *Job) JobJSON {
 		if out.resumed {
 			jj.ResumedFrom = j.Key
 		}
-		jj.WarmStartedFrom = out.warmFrom
 		if out.err != nil {
 			jj.Error = out.err.Error()
 		}
@@ -225,7 +224,6 @@ func (s *Server) Status() StatusJSON {
 		ExecutionsStarted:  s.started.Load(),
 		ExecutionsFinished: s.finished.Load(),
 		ExecutionsSkipped:  s.skipped.Load(),
-		WarmStarts:         s.warmHits.Load(),
 		Cache:              s.cache.status(),
 		Tenants:            s.queue.tenantStatus(),
 	}

@@ -2,9 +2,7 @@ package serve
 
 // apitypes.go is the complete typed wire schema of the /v1 HTTP API —
 // every request and response body in one place, so the JSON surface can
-// be read (and pinned by tests) without chasing handlers. The legacy
-// unversioned routes serve exactly these shapes; they differ only in the
-// Deprecation headers the router adds.
+// be read (and pinned by tests) without chasing handlers.
 
 import (
 	"encoding/json"
@@ -70,9 +68,10 @@ type ParamsRequest struct {
 // OptionsRequest carries the client's search options verbatim until
 // resolution overlays them onto the server defaults via the mc.Options
 // JSON contract: absent fields keep the defaults (the receiver is the
-// third state of the old per-field tri-states), and the legacy aliases
-// (no_inclusion, no_active_clocks, max_memory_mb) are still accepted.
-// See mc.Options.UnmarshalJSON for the field list.
+// third state of the old per-field tri-states), and unknown keys —
+// including the retired pre-/v1 aliases no_inclusion, no_active_clocks
+// and max_memory_mb — are a 400. See mc.Options.UnmarshalJSON for the
+// field list.
 type OptionsRequest struct {
 	raw json.RawMessage
 }
@@ -143,13 +142,7 @@ type JobJSON struct {
 	// checkpoint file) when the server's CheckpointDir durability seeded
 	// the search from an earlier aborted run. Empty for fresh runs.
 	ResumedFrom string `json:"resumed_from,omitempty"`
-	// WarmStartedFrom names the checkpoint key whose final snapshot
-	// warm-started this execution's search (Config.WarmStart): the prior
-	// run's own key for a re-run, or a near-miss key — same plant kind
-	// and options, different model — for a re-synthesis after a
-	// disturbance. Empty for cold runs.
-	WarmStartedFrom string `json:"warm_started_from,omitempty"`
-	Error           string `json:"error,omitempty"`
+	Error       string `json:"error,omitempty"`
 }
 
 // ScheduleJSON is the projected plant schedule of a plant job: the
@@ -255,11 +248,8 @@ type StatusJSON struct {
 	ExecutionsFinished int64            `json:"executions_finished"`
 	// ExecutionsSkipped counts executions settled without running because
 	// every attached job canceled while they were still queued.
-	ExecutionsSkipped int64 `json:"executions_skipped,omitempty"`
-	// WarmStarts counts executions whose search was seeded from a kept
-	// checkpoint (Config.WarmStart).
-	WarmStarts int64       `json:"warm_starts,omitempty"`
-	Cache      CacheStatus `json:"cache"`
+	ExecutionsSkipped int64       `json:"executions_skipped,omitempty"`
+	Cache             CacheStatus `json:"cache"`
 	// Tenants is the fair queue's per-tenant backlog, in tenant creation
 	// order (present once any request has been admitted).
 	Tenants []TenantStatus `json:"tenants,omitempty"`

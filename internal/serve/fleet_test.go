@@ -1,7 +1,8 @@
 // Fleet-serving tests: weighted-fair tenant scheduling, per-tenant
-// admission quotas, the canceled-while-queued worker skip, warm-started
-// re-synthesis over the checkpoint index, checkpoint garbage collection,
-// and a -race stress of the coalescing lifecycle on a single cache key.
+// admission quotas, the canceled-while-queued worker skip, plant params
+// overlays, checkpoint garbage collection and refusal of Final-stamped
+// checkpoints, and a -race stress of the coalescing lifecycle on a single
+// cache key.
 package serve
 
 import (
@@ -13,12 +14,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"guidedta/internal/mc"
+	"guidedta/internal/snapshot"
 )
 
 // qex builds the minimal execution the queue cares about.
@@ -123,21 +126,21 @@ func TestQueuePerTenantQuota(t *testing.T) {
 // postJobTenant is postJob with an X-Tenant header.
 func postJobTenant(t *testing.T, ts *httptest.Server, tenant, body string) (int, JobJSON, string) {
 	t.Helper()
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/jobs", strings.NewReader(body))
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	if tenant != "" {
 		req.Header.Set("X-Tenant", tenant)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("POST /jobs: %v", err)
+		t.Fatalf("POST /v1/jobs: %v", err)
 	}
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(resp.Body)
 	var jj JobJSON
 	if resp.StatusCode < 400 {
 		if err := json.Unmarshal(data, &jj); err != nil {
-			t.Fatalf("POST /jobs: bad response %q: %v", data, err)
+			t.Fatalf("POST /v1/jobs: bad response %q: %v", data, err)
 		}
 	}
 	return resp.StatusCode, jj, string(data)
@@ -290,29 +293,18 @@ func TestCoalesceCancelStress(t *testing.T) {
 	}
 }
 
-// TestWarmStartServe: with -warm-start semantics on, a re-synthesis of the
-// same plant under drifted timing constants must be seeded from the
-// earlier run's kept-final checkpoint and say so in the job record.
-func TestWarmStartServe(t *testing.T) {
+// TestPlantParamsOverlay: a re-synthesis of the same plant under drifted
+// timing constants is a distinct model (no cache hit) that still
+// synthesizes a schedule, and an invalid overlay is a 400 at admission.
+func TestPlantParamsOverlay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("plant synthesis pipeline in -short mode")
 	}
-	dir := t.TempDir()
-	srv, ts := newTestServer(t, Config{Workers: 1, CheckpointDir: dir, WarmStart: true})
+	_, ts := newTestServer(t, Config{Workers: 1})
 	code, first := postJob(t, ts, `{"plant": {"batches": 2}, "options": {"search": "dfs"}}`, true)
 	if code != http.StatusOK || first.State != JobDone {
 		t.Fatalf("base synthesis: status %d state %q (%s)", code, first.State, first.Error)
 	}
-	if first.WarmStartedFrom != "" {
-		t.Fatalf("first run claims a warm start from %q", first.WarmStartedFrom)
-	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
-	if len(files) != 1 {
-		t.Fatalf("kept-final checkpoints after base run = %d, want 1", len(files))
-	}
-
-	// Worn plant: same structure, drifted constants — a different model
-	// SHA, so no cache hit, but the same warm family.
 	worn := `{"plant": {"batches": 2, "params": {"deadline": 80}}, "options": {"search": "dfs"}, "resynthesis": true}`
 	code, second := postJob(t, ts, worn, true)
 	if code != http.StatusOK || second.State != JobDone {
@@ -321,20 +313,94 @@ func TestWarmStartServe(t *testing.T) {
 	if second.Cache != CacheMiss || second.ModelSHA256 == first.ModelSHA256 {
 		t.Fatalf("drifted params did not produce a distinct model (cache %q)", second.Cache)
 	}
-	if second.WarmStartedFrom != first.Key {
-		t.Fatalf("warm_started_from = %q, want the base run's key %q", second.WarmStartedFrom, first.Key)
-	}
 	if second.Schedule == nil || len(second.Schedule.Commands) == 0 {
-		t.Fatal("warm-started re-synthesis produced no schedule")
-	}
-	if got := srv.Status().WarmStarts; got != 1 {
-		t.Errorf("warm starts = %d, want 1", got)
+		t.Fatal("re-synthesis produced no schedule")
 	}
 
-	// An invalid params overlay must be rejected at admission.
 	code, _ = postJob(t, ts, `{"plant": {"batches": 2, "params": {"deadline": 0}}}`, false)
 	if code != http.StatusBadRequest {
 		t.Errorf("zero deadline status = %d, want 400", code)
+	}
+}
+
+// TestFinalCheckpointRerunsFresh: servers that kept completed searches'
+// snapshots stamped them Final, and such files may still sit in a
+// checkpoint directory. One found at a job's key must not be resumed (a
+// completed search's frontier can resume to a false "not found"): the
+// server deletes it and reruns the job from scratch to the same answer a
+// server without durability gives.
+func TestFinalCheckpointRerunsFresh(t *testing.T) {
+	// Fischer without the req invariant: the mutex violation is reachable.
+	model := regexp.MustCompile(`\{ inv [^}]*\}`).ReplaceAllString(fischerSrc(4, 2), "")
+	body := submitBody(model, `{"search": "dfs"}`)
+	_, plain := newTestServer(t, Config{Workers: 1})
+	code, want := postJob(t, plain, body, true)
+	if code != http.StatusOK || want.State != JobDone || want.Report == nil || !want.Report.Result.Found {
+		t.Fatalf("reference run: status %d state %q report %+v", code, want.State, want.Report)
+	}
+
+	dir := t.TempDir()
+	var (
+		logMu sync.Mutex
+		logs  []string
+	)
+	srv, ts := newTestServer(t, Config{Workers: 1, CheckpointDir: dir, Logf: func(format string, args ...any) {
+		logMu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}})
+	// Leave an interrupted checkpoint at the job's key, built exactly as
+	// admission builds the execution (same model digest and options), and
+	// stamp it Final: only the Final flag stands between it and a resume.
+	var req SubmitRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := srv.buildExecution(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, ex.key+".ckpt")
+	opts := ex.opts
+	opts.Checkpoint = mc.CheckpointOptions{Path: path, ModelSHA: ex.modelSHA}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	visits := 0
+	opts.Observer = &mc.FuncObserver{OnVisit: func(mc.StateVisit) {
+		if visits++; visits == 20 {
+			cancel()
+		}
+	}}
+	if res, err := mc.ExploreContext(ctx, ex.sys, ex.goal, opts); err != nil || res.Abort != mc.AbortCanceled {
+		t.Fatalf("seeding run: abort %q err %v, want canceled", res.Abort, err)
+	}
+	cp, err := snapshot.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Final = true
+	if err := snapshot.Write(path, cp); err != nil {
+		t.Fatal(err)
+	}
+
+	code, got := postJob(t, ts, body, true)
+	if code != http.StatusOK || got.State != JobDone || got.Report == nil {
+		t.Fatalf("job over a Final checkpoint: status %d state %q (%s)", code, got.State, got.Error)
+	}
+	if got.Key != want.Key || got.ResumedFrom != "" {
+		t.Fatalf("key %s resumed_from %q; want key %s and a fresh run", got.Key, got.ResumedFrom, want.Key)
+	}
+	if got.Report.Result != want.Report.Result || got.Report.Stats.StatesExplored != want.Report.Stats.StatesExplored {
+		t.Errorf("rerun answered %+v after %d states; reference %+v after %d",
+			got.Report.Result, got.Report.Stats.StatesExplored, want.Report.Result, want.Report.Stats.StatesExplored)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("Final checkpoint still on disk after the rerun: %v", err)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if !strings.Contains(strings.Join(logs, "\n"), "checkpoint unusable") {
+		t.Errorf("no checkpoint-refusal log line; logs:\n%s", strings.Join(logs, "\n"))
 	}
 }
 

@@ -276,11 +276,7 @@ type outcome struct {
 	// resumed marks an execution that was seeded from a durable checkpoint
 	// left by an earlier aborted run of the same cache key.
 	resumed bool
-	// warmFrom names the checkpoint key whose final snapshot warm-started
-	// the search ("" for cold runs); set only when the engine confirmed
-	// the seeding took effect (mc.Result.WarmStarted).
-	warmFrom string
-	err      error
+	err     error
 }
 
 func (o *outcome) describe() string {

@@ -9,8 +9,7 @@
 //     automatic guide discovery (internal/guide). Jobs are admitted
 //     through a bounded queue (429 + Retry-After when full) and run on a
 //     fixed worker pool with per-job deadlines; DELETE /v1/jobs/{id}
-//     cancels a job. The pre-/v1 unversioned routes remain as deprecated
-//     aliases.
+//     cancels a job.
 //   - Work is deduplicated through a content-addressed result cache keyed
 //     by the model's canonical sha256 plus the normalized options:
 //     concurrent identical queries coalesce onto one underlying
@@ -45,7 +44,6 @@ import (
 	"guidedta/internal/guide"
 	"guidedta/internal/mc"
 	"guidedta/internal/plant"
-	"guidedta/internal/snapshot"
 	"guidedta/internal/synth"
 )
 
@@ -97,24 +95,13 @@ type Config struct {
 	// cadence while a job runs (0 = abort-time checkpoints only), bounding
 	// the work lost to a hard kill rather than a clean drain.
 	CheckpointEvery time.Duration
-	// WarmStart (requires CheckpointDir) keeps every completed search's
-	// final snapshot on disk and uses those snapshots to seed later
-	// searches of nearby models: a query whose plant kind and options
-	// match a kept snapshot but whose model hash differs (a re-synthesis
-	// after a disturbance) starts from the prior run's re-validated state
-	// space instead of from scratch. Soundness is the engine's problem —
-	// see mc.WarmStartOptions — and the server additionally reruns cold
-	// whenever a cross-model warm start returns a negative or fails replay
-	// validation, so warm starts can change latency but never answers.
-	WarmStart bool
 	// CheckpointGCAge and CheckpointGCMax bound the checkpoint directory:
 	// checkpoint files older than GCAge (default 24h) or beyond the GCMax
 	// newest (default 1024) are deleted, except files referenced by
-	// in-flight executions. GC runs at startup, after a drain, every
-	// CheckpointGCEvery while the server is up, and whenever recording a
-	// kept final snapshot pushes the file count past GCMax — so a
-	// long-lived server that never drains stays bounded too. Without GC,
-	// evicted cache keys would leak their checkpoint files forever.
+	// in-flight executions. GC runs at startup, after a drain, and every
+	// CheckpointGCEvery while the server is up, so a long-lived server that
+	// never drains stays bounded too. Without GC, evicted cache keys would
+	// leak their checkpoint files forever.
 	CheckpointGCAge time.Duration
 	CheckpointGCMax int
 	// CheckpointGCEvery is the period of the background checkpoint GC
@@ -163,7 +150,6 @@ type Server struct {
 	queue *queue
 	cache *cache
 	jobs  *registry
-	warm  *warmIndex // nil unless Config.WarmStart
 
 	workers []workerState
 
@@ -171,11 +157,9 @@ type Server struct {
 	started  atomic.Int64 // executions handed to ExploreContext/Synthesize
 	finished atomic.Int64 // executions completed (any outcome)
 	skipped  atomic.Int64 // canceled-while-queued executions settled unrun
-	warmHits atomic.Int64 // executions that actually warm-started
 
-	gcMu      sync.Mutex    // serializes gcCheckpoints sweeps
-	ckptFiles atomic.Int64  // approximate checkpoint-file count (resynced by each sweep)
-	gcStop    chan struct{} // closes on Drain to stop the background GC sweep
+	gcMu   sync.Mutex    // serializes gcCheckpoints sweeps
+	gcStop chan struct{} // closes on Drain to stop the background GC sweep
 
 	drainOnce sync.Once
 }
@@ -205,11 +189,6 @@ func New(cfg Config) *Server {
 	s.queue = newQueue(cfg.TenantQuota, cfg.TenantWeights)
 	if cfg.CheckpointDir != "" {
 		s.gcCheckpoints()
-		if cfg.WarmStart {
-			s.warm = newWarmIndex()
-			n := s.warm.scan(cfg.CheckpointDir)
-			s.logf("warm start: indexed %d checkpoint(s)", n)
-		}
 		s.gcStop = make(chan struct{})
 		go s.gcLoop()
 	}
@@ -499,25 +478,13 @@ func (s *Server) execute(ex *execution) *outcome {
 	run.SetOptions(ex.opts)
 
 	opts := ex.opts
-	// engineRes captures the engine's own Result — the plant pipeline
-	// reports negatives and aborts as errors, losing the mc.Result that
-	// says whether the search actually warm-started (retryCold needs it).
-	var engineRes mc.Result
-	opts.Observer = mc.Observers(
-		run.Observer(),
-		&mc.FuncObserver{OnSnapshot: ex.publish, OnDone: func(r mc.Result) { engineRes = r }},
-		opts.Observer,
-	)
+	opts.Observer = mc.Observers(run.Observer(), &mc.FuncObserver{OnSnapshot: ex.publish}, opts.Observer)
 
 	// Durability: checkpoint under the content-addressed cache key, so the
 	// file a drained or timed-out run leaves behind is found by exactly the
 	// resubmissions that would have hit its cache entry — including on a
 	// freshly restarted server whose in-memory cache is empty.
-	kind := "model"
-	if ex.isPlant {
-		kind = "plant"
-	}
-	var ckptPath, warmFrom, warmGroupKey string
+	var ckptPath string
 	if s.cfg.CheckpointDir != "" && opts.Search != mc.BSH {
 		ckptPath = filepath.Join(s.cfg.CheckpointDir, ex.key+".ckpt")
 		opts.Checkpoint = mc.CheckpointOptions{
@@ -525,36 +492,12 @@ func (s *Server) execute(ex *execution) *outcome {
 			Interval: s.cfg.CheckpointEvery,
 			Resume:   true,
 			ModelSHA: ex.modelSHA,
-			Meta:     kind,
-		}
-		if s.cfg.WarmStart {
-			opts.Checkpoint.KeepFinal = true
-			if canon, err := opts.CanonicalJSON(); err == nil {
-				warmGroupKey = warmGroup(kind, canon)
-			}
-			if hdr, err := snapshot.ReadHeader(ckptPath); err == nil && hdr.Final {
-				// The exact key already has a final snapshot (a completed
-				// run, e.g. before a restart emptied the result cache).
-				// Resume would refuse it — a final checkpoint's frontier
-				// must not be replayed exactly (see mc.CheckpointOptions
-				// KeepFinal) — so seed a warm start from it instead.
-				opts.Checkpoint.Resume = false
-				opts.WarmStart.Path = ckptPath
-				warmFrom = ex.key
-			} else if s.warm != nil && warmGroupKey != "" {
-				// Near-miss: another key with the same kind and options —
-				// a different model, i.e. a disturbed re-synthesis — left
-				// a final snapshot to seed from.
-				if seed := s.warm.lookup(warmGroupKey, ex.key); seed != "" {
-					opts.WarmStart.Path = filepath.Join(s.cfg.CheckpointDir, seed+".ckpt")
-					warmFrom = seed
-				}
-			}
 		}
 	}
 	// retryFresh handles a poisoned checkpoint (corrupt file, stale format,
-	// options drift): delete it and let the caller rerun from scratch —
-	// durability must never make a query unanswerable.
+	// options drift, a completed search's Final-stamped snapshot): delete it
+	// and let the caller rerun from scratch — durability must never make a
+	// query unanswerable.
 	retryFresh := func(err error) bool {
 		if ckptPath == "" || !errors.Is(err, mc.ErrResume) {
 			return false
@@ -563,60 +506,11 @@ func (s *Server) execute(ex *execution) *outcome {
 		os.Remove(ckptPath)
 		return true
 	}
-	// retryCold decides whether a warm-started outcome must be re-derived
-	// cold: always when the engine flags a replay-invalid witness
-	// (mc.ErrWarmStart), and for any cross-model seed whose search ended
-	// negative or failed — a foreign model's state space may subsume zones
-	// this model would have explored further, so only a cold run may
-	// report "not satisfied". The retry is gated on the engine actually
-	// having seeded something (res.WarmStarted with WarmSeeded > 0): a
-	// missing or unusable seed file, or one whose states were all dropped
-	// by re-validation, means the search already ran cold and rerunning it
-	// would just repeat the identical work. Seeding from the query's own
-	// key is exempt (the seeded zones are genuinely this model's), and
-	// canceled or limit-aborted searches are service outcomes either way.
-	// Warm starts change latency, never answers.
-	retryCold := func(err error, res mc.Result) bool {
-		if opts.WarmStart.Path == "" {
-			return false
-		}
-		if errors.Is(err, mc.ErrWarmStart) {
-			return true
-		}
-		if warmFrom == ex.key || res.Abort != mc.AbortNone {
-			return false
-		}
-		if !res.WarmStarted || res.Stats.WarmSeeded == 0 {
-			return false
-		}
-		return err != nil || !res.Found
-	}
-	goCold := func() {
-		s.logf("exec %s: warm start from %s not conclusive; rerunning cold", shortKey(ex.key), shortKey(warmFrom))
-		opts.WarmStart = mc.WarmStartOptions{}
-		warmFrom = ""
-	}
-	// recordWarm publishes a cleanly completed search's final snapshot to
-	// the warm index so later near-miss queries can seed from it, and
-	// sweeps the checkpoint directory when the kept files have grown past
-	// the GC bound (the count is approximate; the sweep resyncs it).
-	recordWarm := func() {
-		if s.warm != nil && opts.Checkpoint.KeepFinal && warmGroupKey != "" {
-			s.warm.record(ex.key, warmGroupKey)
-			if s.ckptFiles.Add(1) > int64(s.cfg.CheckpointGCMax) {
-				s.gcCheckpoints()
-			}
-		}
-	}
 
 	out := &outcome{report: run}
 	if ex.isPlant {
 		res, err := core.SynthesizeContext(ex.ctx, ex.plantCfg, opts, synth.Options{})
 		if err != nil && retryFresh(err) {
-			res, err = core.SynthesizeContext(ex.ctx, ex.plantCfg, opts, synth.Options{})
-		}
-		if retryCold(err, engineRes) {
-			goCold()
 			res, err = core.SynthesizeContext(ex.ctx, ex.plantCfg, opts, synth.Options{})
 		}
 		if err != nil {
@@ -630,22 +524,13 @@ func (s *Server) execute(ex *execution) *outcome {
 		}
 		out.found = true
 		out.resumed = res.Search.Resumed
-		if res.Search.WarmStarted && warmFrom != "" {
-			out.warmFrom = warmFrom
-			s.warmHits.Add(1)
-		}
 		out.schedule = scheduleJSON(res.Schedule)
 		out.program = programJSON(res.Program, res.Codec)
-		recordWarm()
 		return out
 	}
 
 	res, err := mc.ExploreContext(ex.ctx, ex.sys, ex.goal, opts)
 	if err != nil && retryFresh(err) {
-		res, err = mc.ExploreContext(ex.ctx, ex.sys, ex.goal, opts)
-	}
-	if retryCold(err, res) {
-		goCold()
 		res, err = mc.ExploreContext(ex.ctx, ex.sys, ex.goal, opts)
 	}
 	if err != nil {
@@ -655,13 +540,6 @@ func (s *Server) execute(ex *execution) *outcome {
 	out.found = res.Found
 	out.abort = res.Abort
 	out.resumed = res.Resumed
-	if res.WarmStarted && warmFrom != "" {
-		out.warmFrom = warmFrom
-		s.warmHits.Add(1)
-	}
-	if res.Abort == mc.AbortNone {
-		recordWarm()
-	}
 	return out
 }
 

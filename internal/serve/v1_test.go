@@ -31,10 +31,9 @@ func postV1(t *testing.T, ts *httptest.Server, path, body string) (*http.Respons
 	return resp, jj
 }
 
-// TestV1RoutesAndLegacyDeprecation: every route is mounted under /v1
-// without deprecation headers, and the unversioned aliases answer
-// identically but flag themselves deprecated with a successor link.
-func TestV1RoutesAndLegacyDeprecation(t *testing.T) {
+// TestV1RoutesAndRetiredAliases: every route is mounted under /v1, and
+// the unversioned pre-/v1 aliases are gone.
+func TestV1RoutesAndRetiredAliases(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 
 	for _, path := range []string{"/v1/healthz", "/v1/status"} {
@@ -46,29 +45,18 @@ func TestV1RoutesAndLegacyDeprecation(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("GET %s: status %d", path, resp.StatusCode)
 		}
-		if resp.Header.Get("Deprecation") != "" {
-			t.Errorf("GET %s: carries a Deprecation header", path)
-		}
 	}
-	for path, successor := range map[string]string{
-		"/healthz": "/v1/healthz",
-		"/status":  "/v1/status",
-	} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", path, resp.StatusCode)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("GET %s: no Deprecation header", path)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, "<"+successor+">") ||
-			!strings.Contains(link, `rel="successor-version"`) {
-			t.Errorf("GET %s: Link = %q, want successor %s", path, link, successor)
-		}
+	resp, err := http.Get(ts.URL + "/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /status: status %d, want 404", resp.StatusCode)
+	}
+	resp, _ = postV1(t, ts, "/jobs", fmt.Sprintf(`{"model": %q}`, fischerSrc(2, 2)))
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /jobs: status %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -116,11 +104,11 @@ func TestV1JobSchemaPinned(t *testing.T) {
 }
 
 // TestV1OptionsOverlay: the /v1 options object overlays server defaults
-// through the mc.Options JSON contract — canonical fields, tri-state
-// semantics, and the legacy aliases all decode.
+// through the mc.Options JSON contract — canonical fields and tri-state
+// semantics decode.
 func TestV1OptionsOverlay(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	body := fmt.Sprintf(`{"model": %q, "options": {"search": "bfs", "no_inclusion": true, "compact": false, "max_states": 50000}}`,
+	body := fmt.Sprintf(`{"model": %q, "options": {"search": "bfs", "inclusion": false, "compact": false, "max_states": 50000}}`,
 		fischerSrc(2, 2))
 	resp, jj := postV1(t, ts, "/v1/jobs?wait=1", body)
 	if resp.StatusCode != http.StatusOK {
@@ -141,6 +129,18 @@ func TestV1OptionsOverlay(t *testing.T) {
 	resp3, _ := postV1(t, ts, "/v1/jobs", fmt.Sprintf(`{"model": %q, "options": {"timeout_seconds": -3}}`, fischerSrc(2, 2)))
 	if resp3.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative timeout: status %d, want 400", resp3.StatusCode)
+	}
+}
+
+// TestV1RetiredOptionKeys: the pre-/v1 option aliases are a 400, not
+// silently dropped — an old client's memory cap must not vanish unseen.
+func TestV1RetiredOptionKeys(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, opts := range []string{`{"no_inclusion": true}`, `{"no_active_clocks": true}`, `{"max_memory_mb": 64}`} {
+		resp, _ := postV1(t, ts, "/v1/jobs", submitBody(fischerSrc(2, 2), opts))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("options %s: status %d, want 400", opts, resp.StatusCode)
+		}
 	}
 }
 

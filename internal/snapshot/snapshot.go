@@ -7,9 +7,8 @@
 //
 // The format is deliberately neutral: the package knows nodes, zones, and
 // sections, not engines. internal/mc converts its live search state to and
-// from these types; future distributed-shard and fleet warm-start work is
-// expected to call Load directly and seed stores from Checkpoint.Nodes
-// without going through a full resume.
+// from these types. Load and Decode always verify the whole file (footer
+// hash, section framing, node indices) before anything is returned.
 //
 // # File layout
 //
@@ -28,13 +27,11 @@
 package snapshot
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -146,16 +143,12 @@ type Checkpoint struct {
 	// Options is the canonical options JSON (mc.Options.CanonicalJSON) the
 	// search ran with. Resume requires byte equality.
 	Options []byte
-	// Meta is an opaque advisory label stamped by the producing layer (the
-	// serving layer records the cache-key kind here so near-miss checkpoints
-	// can be grouped into warm-start families without decoding node tables).
-	// Resume never interprets it.
-	Meta string
 	// Final marks a checkpoint written at the natural end of a completed
-	// search (mc.CheckpointOptions.KeepFinal) rather than at an abort point.
-	// Final checkpoints are warm-start seeds only: their frontier reflects a
-	// finished search, so an exact resume from one could terminate with the
-	// wrong verdict and is refused by the resume path.
+	// search rather than at an abort point. Nothing writes such files any
+	// more (older servers kept them as warm-start seeds), but they may still
+	// sit in a checkpoint directory: their frontier reflects a finished
+	// search, so an exact resume from one could terminate with the wrong
+	// verdict, and the resume path refuses them.
 	Final bool
 	// Nodes is the retained search tree; Store and Frontier index into it.
 	Nodes []Node
@@ -173,11 +166,10 @@ type Checkpoint struct {
 type header struct {
 	ModelSHA string          `json:"model_sha256"`
 	Options  json.RawMessage `json:"options"`
-	// Meta and Final ride in the header JSON as optional fields: a version-1
-	// reader that predates them simply ignores the keys, so stamping them
-	// needs no format-version bump.
-	Meta  string `json:"meta,omitempty"`
-	Final bool   `json:"final,omitempty"`
+	// Final rides in the header JSON as an optional field (see
+	// Checkpoint.Final); files from older writers may also carry an
+	// advisory "meta" key, which decoding ignores.
+	Final bool `json:"final,omitempty"`
 }
 
 // Encode serializes the checkpoint to its binary form (magic through
@@ -191,7 +183,6 @@ func (cp *Checkpoint) Encode() ([]byte, error) {
 	hdr, err := json.Marshal(header{
 		ModelSHA: cp.ModelSHA,
 		Options:  json.RawMessage(cp.Options),
-		Meta:     cp.Meta,
 		Final:    cp.Final,
 	})
 	if err != nil {
@@ -259,81 +250,6 @@ func Load(path string) (*Checkpoint, error) {
 	return Decode(data)
 }
 
-// Header is the identity portion of a checkpoint: the fields of the header
-// section, readable without decoding — or hash-verifying — the node table.
-type Header struct {
-	ModelSHA string
-	Options  []byte
-	Meta     string
-	Final    bool
-}
-
-// ReadHeader parses just the magic, version, and header section of the
-// checkpoint at path. It deliberately skips the footer hash: the answer is
-// advisory identity information (which model, which options, which warm
-// family) in O(header) time regardless of node-table size. Anything acting
-// on the node table must go through Load/Decode, which verify in full.
-func ReadHeader(path string) (*Header, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := fi.Size()
-	br := bufio.NewReaderSize(f, 4096)
-
-	var pre [len(magic) + 4]byte
-	if _, err := io.ReadFull(br, pre[:]); err != nil {
-		return nil, fmt.Errorf("%w: file shorter than magic+version", ErrCorrupt)
-	}
-	if string(pre[:len(magic)]) != string(magic[:]) {
-		return nil, ErrBadMagic
-	}
-	if v := binary.LittleEndian.Uint32(pre[len(magic):]); v != FormatVersion {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads %d", ErrVersion, v, FormatVersion)
-	}
-	// Scan sections until the header turns up (our writer emits it first;
-	// tolerating any order costs only skipped reads). The trailing footer
-	// has no section framing, so a header-less file errors out on it or on
-	// EOF — either way ErrCorrupt.
-	for {
-		tag, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: no header section before EOF", ErrCorrupt)
-		}
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: section %d length truncated", ErrCorrupt, tag)
-		}
-		// Bound the unvalidated length by the file size before allocating
-		// or discarding: a corrupt uvarint must yield ErrCorrupt, not a
-		// multi-GB allocation (or an int overflow on 32-bit platforms).
-		const maxInt = uint64(^uint(0) >> 1)
-		if n > uint64(size) || n > maxInt {
-			return nil, fmt.Errorf("%w: section %d length %d exceeds file size %d", ErrCorrupt, tag, n, size)
-		}
-		if tag != secHeader {
-			if _, err := br.Discard(int(n)); err != nil {
-				return nil, fmt.Errorf("%w: section %d overruns file", ErrCorrupt, tag)
-			}
-			continue
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, fmt.Errorf("%w: header section overruns file", ErrCorrupt)
-		}
-		var h header
-		if err := json.Unmarshal(payload, &h); err != nil {
-			return nil, fmt.Errorf("%w: header section: %v", ErrCorrupt, err)
-		}
-		return &Header{ModelSHA: h.ModelSHA, Options: []byte(h.Options), Meta: h.Meta, Final: h.Final}, nil
-	}
-}
-
 // Decode parses the binary form produced by Encode.
 func Decode(data []byte) (*Checkpoint, error) {
 	if len(data) < len(magic)+4+sha256.Size {
@@ -376,7 +292,6 @@ func Decode(data []byte) (*Checkpoint, error) {
 			if err = json.Unmarshal(payload, &h); err == nil {
 				cp.ModelSHA = h.ModelSHA
 				cp.Options = []byte(h.Options)
-				cp.Meta = h.Meta
 				cp.Final = h.Final
 			}
 		case secNodes:

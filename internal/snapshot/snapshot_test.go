@@ -24,6 +24,7 @@ func sampleCheckpoint() *Checkpoint {
 	return &Checkpoint{
 		ModelSHA: "abc123",
 		Options:  []byte(`{"search":"dfs"}`),
+		Final:    true,
 		Nodes: []Node{
 			{Parent: -1, Depth: 0, Via: [5]int32{-1, -1, -1, -1, -1}},
 			{
@@ -217,21 +218,17 @@ func TestDecodeTruncation(t *testing.T) {
 	}
 }
 
-// TestReadHeaderBoundsSectionLength: a corrupt or truncated checkpoint
-// whose section-length uvarint decodes to an absurd value must fail with
-// ErrCorrupt instead of attempting a multi-gigabyte allocation (or
-// overflowing int on 32-bit in the discard path).
-func TestReadHeaderBoundsSectionLength(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "huge.ckpt")
+// TestDecodeBoundsSectionLength: a checkpoint whose (hash-valid)
+// section-length uvarint decodes to an absurd value must fail with
+// ErrCorrupt instead of slicing past the buffer.
+func TestDecodeBoundsSectionLength(t *testing.T) {
 	prefix := append(append([]byte{}, magic[:]...), 0, 0, 0, 0)
 	binary.LittleEndian.PutUint32(prefix[len(magic):], FormatVersion)
-	for name, tag := range map[string]byte{"header": secHeader, "skipped": secNodes} {
-		data := append(append([]byte{}, prefix...), tag)
-		data = binary.AppendUvarint(data, 1<<62) // claims ~4 EiB of payload
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadHeader(path); !errors.Is(err, ErrCorrupt) {
+	for name, tag := range map[string]byte{"header": secHeader, "nodes": secNodes} {
+		body := append(append([]byte{}, prefix...), tag)
+		body = binary.AppendUvarint(body, 1<<62) // claims ~4 EiB of payload
+		sum := sha256.Sum256(body)
+		if _, err := Decode(append(body, sum[:]...)); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s section: got %v, want ErrCorrupt", name, err)
 		}
 	}
